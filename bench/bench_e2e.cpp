@@ -68,7 +68,8 @@ void run_suite(const index::Mem2Index& index, int threads) {
 
     const auto& st = s_opt.stages;
     const double misc = st[util::Stage::kChain] + st[util::Stage::kBswPre] +
-                        st[util::Stage::kSamForm] + st[util::Stage::kMisc];
+                        st[util::Stage::kRegionFinalize] + st[util::Stage::kSamForm] +
+                        st[util::Stage::kMisc];
     bench::print_row(
         (ds.name + std::string(identical ? "" : " [OUTPUT MISMATCH!]")).c_str(),
         {bench::fmt(wall_base, 2), bench::fmt(wall_opt, 2),
@@ -153,7 +154,8 @@ int run_paired_suite(bool smoke) {
   for (const auto& r : runs) {
     const auto& st = r.stages;
     const double misc = st[util::Stage::kChain] + st[util::Stage::kBswPre] +
-                        st[util::Stage::kSamForm] + st[util::Stage::kMisc];
+                        st[util::Stage::kRegionFinalize] + st[util::Stage::kSamForm] +
+                        st[util::Stage::kMisc];
     bench::print_row(
         (std::to_string(r.threads) + (identical ? "" : " [OUTPUT MISMATCH!]")).c_str(),
         {bench::fmt(r.seconds, 2), bench::fmt(r.pairs_per_sec, 0),

@@ -486,6 +486,12 @@ int cmd_mem(int argc, char** argv) {
 
   std::cerr << "[mem2] " << stream.stats().reads << " reads -> "
             << sink.records_written() << " records in " << t.seconds() << "s\n";
+  {
+    const auto& c = stream.stats().counters;
+    std::cerr << "[mem2] chaining: seeds=" << c.chain_seeds
+              << " chains_built=" << c.chains_built
+              << " chains_kept=" << c.chains_kept << '\n';
+  }
   if (opt.paired) {
     const auto& c = stream.stats().counters;
     std::cerr << "[mem2] insert stats: " << stream.pair_stats().summary() << '\n'

@@ -79,11 +79,61 @@ bsw::ExtendJob make_right_job(const ExtendContext& ctx, const ChainRef& cref,
   return job;
 }
 
+namespace {
+
+// One region's half of RegionCover::covers (the body of bwa's scan).
+bool region_covers(const AlnReg& p, const chain::Seed& s, const MemOptions& opt,
+                   int l_query) {
+  if (s.rbeg < p.rb || s.rbeg + s.len > p.re || s.qbeg < p.qb ||
+      s.qbeg + s.len > p.qe)
+    return false;  // not fully contained
+  if (s.len - p.seedlen0 > .1 * l_query) return false;  // may yield a better aln
+  // Region ahead of the seed.
+  int qd = s.qbeg - p.qb;
+  idx_t rd = s.rbeg - p.rb;
+  int max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
+  int w = std::min(max_gap, p.w);
+  if (qd - rd < w && rd - qd < w) return true;  // seed is around the hit
+  // Region behind the seed.
+  qd = p.qe - (s.qbeg + s.len);
+  rd = p.re - (s.rbeg + s.len);
+  max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
+  w = std::min(max_gap, p.w);
+  return qd - rd < w && rd - qd < w;
+}
+
+}  // namespace
+
+void RegionCover::reset(std::span<const AlnReg> regs) {
+  by_rb_.clear();
+  max_span_ = 0;
+  for (std::size_t i = 0; i < regs.size(); ++i) add(regs, i);
+}
+
+void RegionCover::add(std::span<const AlnReg> regs, std::size_t idx) {
+  const AlnReg& r = regs[idx];
+  const std::pair<idx_t, std::uint32_t> e{r.rb, static_cast<std::uint32_t>(idx)};
+  by_rb_.insert(std::upper_bound(by_rb_.begin(), by_rb_.end(), e), e);
+  max_span_ = std::max(max_span_, r.re - r.rb);
+}
+
+bool RegionCover::covers(std::span<const AlnReg> regs, const chain::Seed& s,
+                         const MemOptions& opt, int l_query) const {
+  const std::pair<idx_t, std::uint32_t> lo{s.rbeg + s.len - max_span_, 0};
+  for (auto it = std::lower_bound(by_rb_.begin(), by_rb_.end(), lo);
+       it != by_rb_.end() && it->first <= s.rbeg; ++it)
+    if (region_covers(regs[it->second], s, opt, l_query)) return true;
+  return false;
+}
+
 void process_chains(const ExtendContext& ctx,
                     std::span<const chain::Chain> chains,
                     SeedExtendSource& source, std::vector<AlnReg>& regs) {
   const MemOptions& opt = ctx.opt;
   const int l_query = static_cast<int>(ctx.query.size());
+  RegionCover cover;
+  cover.reset(regs);
+  std::vector<std::uint64_t> srt;
 
   for (int chain_idx = 0; chain_idx < static_cast<int>(chains.size()); ++chain_idx) {
     const chain::Chain& c = chains[static_cast<std::size_t>(chain_idx)];
@@ -98,7 +148,7 @@ void process_chains(const ExtendContext& ctx,
 
     // Seeds by ascending score; visited from the back (best first).
     const int n = static_cast<int>(c.seeds.size());
-    std::vector<std::uint64_t> srt(static_cast<std::size_t>(n));
+    srt.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
       srt[static_cast<std::size_t>(i)] =
           static_cast<std::uint64_t>(c.seeds[static_cast<std::size_t>(i)].score) << 32 |
@@ -109,28 +159,7 @@ void process_chains(const ExtendContext& ctx,
       const int seed_idx = static_cast<int>(static_cast<std::uint32_t>(srt[static_cast<std::size_t>(k)]));
       const chain::Seed& s = c.seeds[static_cast<std::size_t>(seed_idx)];
 
-      // --- test whether this seed is contained in an existing region ---
-      std::size_t i;
-      for (i = 0; i < regs.size(); ++i) {
-        const AlnReg& p = regs[i];
-        if (s.rbeg < p.rb || s.rbeg + s.len > p.re || s.qbeg < p.qb ||
-            s.qbeg + s.len > p.qe)
-          continue;  // not fully contained
-        if (s.len - p.seedlen0 > .1 * l_query) continue;  // may yield a better aln
-        // Region ahead of the seed.
-        int qd = s.qbeg - p.qb;
-        idx_t rd = s.rbeg - p.rb;
-        int max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
-        int w = std::min(max_gap, p.w);
-        if (qd - rd < w && rd - qd < w) break;  // seed is around the hit
-        // Region behind the seed.
-        qd = p.qe - (s.qbeg + s.len);
-        rd = p.re - (s.rbeg + s.len);
-        max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
-        w = std::min(max_gap, p.w);
-        if (qd - rd < w && rd - qd < w) break;
-      }
-      if (i < regs.size()) {
+      if (cover.covers(regs, s, opt, l_query)) {
         // Contained: extend anyway only if a similar-length overlapping seed
         // with a different diagonal exists in this chain.
         int t;
@@ -231,6 +260,7 @@ void process_chains(const ExtendContext& ctx,
       a.seedlen0 = s.len;
       a.frac_rep = c.frac_rep;
       regs.push_back(a);
+      cover.add(regs, regs.size() - 1);
     }
   }
 }

@@ -13,7 +13,10 @@
 // what makes the identical-output property true by construction.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "align/region.h"
 #include "index/mem2_index.h"
@@ -50,6 +53,26 @@ bsw::ExtendJob make_right_job(const ExtendContext& ctx, const ChainRef& cref,
 inline bool band_retry_needed(int score, int prev_score, int max_off, int aw) {
   return !(score == prev_score || max_off < (aw >> 1) + (aw >> 2));
 }
+
+/// process_chains' "is this seed already covered?" test (bwa
+/// mem_chain2aln): a seed is skipped when a region of the read contains it
+/// on query and reference and the seed lies near that region's diagonal.
+/// Only existence matters, and a region containing [rbeg, rbeg+len) starts
+/// in [rbeg + len - max_span, rbeg], so regions are indexed by reference
+/// begin and a query scans that window instead of every region.
+class RegionCover {
+ public:
+  /// Index regs[0, regs.size()).
+  void reset(std::span<const AlnReg> regs);
+  /// Index regs[idx] (just appended).
+  void add(std::span<const AlnReg> regs, std::size_t idx);
+  bool covers(std::span<const AlnReg> regs, const chain::Seed& s,
+              const MemOptions& opt, int l_query) const;
+
+ private:
+  std::vector<std::pair<idx_t, std::uint32_t>> by_rb_;  // (rb, index), sorted
+  idx_t max_span_ = 0;
+};
 
 /// BSW computation provider.  side: 0 = left, 1 = right.  band_try: 0 or 1
 /// (bwa MAX_BAND_TRY = 2).  The job passed is fully specified so table

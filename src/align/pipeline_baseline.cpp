@@ -119,9 +119,13 @@ void align_reads_baseline(const index::Mem2Index& index,
       // SAM.
       {
         util::TraceSpan span("sam-emit");
+        {
+          util::TraceSpan region_span("region-finalize");
+          util::ScopedStage s(st, util::Stage::kRegionFinalize);
+          sort_dedup_regions(regs, options.mem);
+          mark_primary(regs, options.mem);
+        }
         util::ScopedStage s(st, util::Stage::kSamForm);
-        sort_dedup_regions(regs, options.mem);
-        mark_primary(regs, options.mem);
         per_read[static_cast<std::size_t>(r)] = regions_to_sam(ctx, read, regs);
       }
     }

@@ -492,8 +492,8 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
     thread_counters[0] += capture.take();
   }
 
-  // --- Replay the decision logic into per-read region lists, then
-  // (single-end) SAM ---
+  // --- Replay the decision logic into per-read region lists (REGION),
+  // then (single-end) SAM ---
 #pragma omp parallel num_threads(n_threads)
   {
     const int tid = omp_get_thread_num();
@@ -501,6 +501,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
     util::TraceSpan sam_span("sam-emit");
     util::CounterCapture capture;
     util::StageTimes& st = thread_stages[static_cast<std::size_t>(tid)];
+    util::TraceSpan region_span("region-finalize");
 #pragma omp for schedule(dynamic, 8)
     for (int i = 0; i < nb; ++i) {
       guard.run([&] {
@@ -509,20 +510,25 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
         ReadState& rs = states[static_cast<std::size_t>(i)];
         ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
         TableSource source(rs);
+        util::ScopedStage s(st, util::Stage::kRegionFinalize);
         rs.regs.clear();
-        {
-          util::ScopedStage s(st, util::Stage::kBswPre);
-          process_chains(ctx, rs.chains, source, rs.regs);
-        }
-        {
-          util::ScopedStage s(st, util::Stage::kSamForm);
-          sort_dedup_regions(rs.regs, options.mem);
-          mark_primary(rs.regs, options.mem);
-          if (emit_sam)
-            (*per_read)[batch_beg + static_cast<std::size_t>(i)] =
-                regions_to_sam(ctx, reads[batch_beg + static_cast<std::size_t>(i)], rs.regs);
-        }
+        process_chains(ctx, rs.chains, source, rs.regs);
+        sort_dedup_regions(rs.regs, options.mem);
+        mark_primary(rs.regs, options.mem);
       });
+    }
+    region_span.finish();
+    if (emit_sam) {
+#pragma omp for schedule(dynamic, 8)
+      for (int i = 0; i < nb; ++i) {
+        guard.run([&] {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
+          util::ScopedStage s(st, util::Stage::kSamForm);
+          (*per_read)[batch_beg + static_cast<std::size_t>(i)] =
+              regions_to_sam(ctx, reads[batch_beg + static_cast<std::size_t>(i)], rs.regs);
+        });
+      }
     }
     thread_counters[static_cast<std::size_t>(tid)] += capture.take();
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace mem2::align {
 
@@ -14,13 +15,21 @@ void sort_dedup_regions(std::vector<AlnReg>& regs, const MemOptions& opt) {
     return a.qe < b.qe;
   });
   // Drop a region when a neighbour covers (mask_level_redun) of it on both
-  // query and reference with a better-or-equal score.
+  // query and reference with a better-or-equal score.  Kept regions (even
+  // replaced ones) start at or before r.rb, so only those ending after r.rb
+  // can match r or any later region: scan just that "active" list, in kept
+  // order, and retire the rest as the sweep moves right.
   std::vector<AlnReg> kept;
   kept.reserve(regs.size());
+  std::vector<std::uint32_t> active;
   for (const auto& r : regs) {
     bool redundant = false;
-    for (auto& k : kept) {
-      if (k.rid != r.rid) continue;
+    std::size_t n_active = 0;
+    for (const std::uint32_t a : active) {
+      AlnReg& k = kept[a];
+      if (k.re <= r.rb) continue;  // retired for good
+      active[n_active++] = a;
+      if (redundant || k.rid != r.rid) continue;
       const idx_t rb_max = std::max(k.rb, r.rb);
       const idx_t re_min = std::min(k.re, r.re);
       const int qb_max = std::max(k.qb, r.qb);
@@ -33,10 +42,13 @@ void sort_dedup_regions(std::vector<AlnReg>& regs, const MemOptions& opt) {
       if (ovlp >= r_span * opt.mask_level_redun) {
         if (r.score > k.score) k = r;  // keep the better of the two
         redundant = true;
-        break;
       }
     }
-    if (!redundant) kept.push_back(r);
+    active.resize(n_active);
+    if (!redundant) {
+      active.push_back(static_cast<std::uint32_t>(kept.size()));
+      kept.push_back(r);
+    }
   }
   regs = std::move(kept);
 }

@@ -161,6 +161,9 @@ const std::vector<SwCounterField>& sw_counter_fields() {
       {"sa_lookups", &SwCounters::sa_lookups},
       {"sa_lf_steps", &SwCounters::sa_lf_steps},
       {"sa_memory_loads", &SwCounters::sa_memory_loads},
+      {"chain_seeds", &SwCounters::chain_seeds},
+      {"chains_built", &SwCounters::chains_built},
+      {"chains_kept", &SwCounters::chains_kept},
       {"bsw_pairs", &SwCounters::bsw_pairs},
       {"bsw_cells_total", &SwCounters::bsw_cells_total},
       {"bsw_cells_useful", &SwCounters::bsw_cells_useful},
@@ -180,7 +183,10 @@ const std::vector<SwCounterField>& sw_counter_fields() {
 void write_sw_counters(PromWriter& w, const SwCounters& c,
                        std::string_view labels) {
   for (const auto& f : sw_counter_fields()) {
-    w.counter("mem2_sw_" + std::string(f.name) + "_total",
+    // A field already named as a total (bsw_cells_total) keeps one suffix.
+    std::string_view name = f.name;
+    if (name.ends_with("_total")) name.remove_suffix(6);
+    w.counter("mem2_sw_" + std::string(name) + "_total",
               "software event counter (see util/sw_counters.h)",
               static_cast<double>(c.*(f.member)), labels);
   }

@@ -27,6 +27,11 @@ struct SwCounters {
   std::uint64_t sa_lf_steps = 0;        // LF walk steps (0 for flat SA)
   std::uint64_t sa_memory_loads = 0;    // distinct memory loads performed
 
+  // Chaining (chain::build_chains / filter_chains)
+  std::uint64_t chain_seeds = 0;        // seeds handed to chain construction
+  std::uint64_t chains_built = 0;       // chains before filtering
+  std::uint64_t chains_kept = 0;        // chains surviving filter_chains
+
   // BSW kernel
   std::uint64_t bsw_pairs = 0;
   std::uint64_t bsw_cells_total = 0;    // all SIMD-lane cells computed

@@ -2,7 +2,9 @@
 //
 // The paper's Table 1 and Figure 5 break run time into SMEM / SAL / CHAIN /
 // BSW-pre / BSW / SAM-FORM / Misc; StageTimes is the accumulator the drivers
-// fill and the benches print.
+// fill and the benches print.  REGION (the post-BSW decision replay, region
+// dedup and primary marking) is split out of BSW-pre and SAM-FORM because
+// it is its own layer here.
 #pragma once
 
 #include <array>
@@ -32,6 +34,9 @@ enum class Stage : int {
   kChain,
   kBswPre,
   kBsw,
+  kRegionFinalize,  // process_chains replay (batch driver; the baseline's
+                    // on-demand replay stays BSW-pre) + sort_dedup_regions +
+                    // mark_primary
   kSamForm,
   kPair,  // paired-end stage: rescue harvest/rounds + pair scoring + pair SAM
   kMisc,
@@ -39,8 +44,8 @@ enum class Stage : int {
 };
 
 constexpr std::string_view stage_name(Stage s) {
-  constexpr std::string_view names[] = {"SMEM",    "SAL", "CHAIN", "BSW-PRE",
-                                        "BSW",     "SAM", "PAIR",  "MISC"};
+  constexpr std::string_view names[] = {"SMEM", "SAL",    "CHAIN", "BSW-PRE", "BSW",
+                                        "REGION", "SAM", "PAIR", "MISC"};
   return names[static_cast<int>(s)];
 }
 

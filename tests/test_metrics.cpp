@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <regex>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -216,9 +218,32 @@ TEST(SwCounterMapping, WritesEveryFieldAsPrometheusCounter) {
   const std::string out = os.str();
   EXPECT_NE(out.find("mem2_sw_smems_found_total 7\n"), std::string::npos);
   EXPECT_NE(out.find("mem2_sw_pe_proper_pairs_total 9\n"), std::string::npos);
-  for (const auto& f : sw_counter_fields())
-    EXPECT_NE(out.find("mem2_sw_" + std::string(f.name) + "_total"),
-              std::string::npos);
+  for (const auto& f : sw_counter_fields()) {
+    std::string name = f.name;
+    if (name.ends_with("_total")) name.resize(name.size() - 6);
+    EXPECT_NE(out.find("\nmem2_sw_" + name + "_total "), std::string::npos)
+        << f.name;
+  }
+  // A field already named as a total is exported with one suffix.
+  EXPECT_NE(out.find("\nmem2_sw_bsw_cells_total 0\n"), std::string::npos);
+}
+
+TEST(SwCounterMapping, FamilyNamesAreValidPrometheusNames) {
+  std::ostringstream os;
+  PromWriter w(os);
+  write_sw_counters(w, SwCounters{});
+  const std::regex valid("[a-zA-Z_:][a-zA-Z0-9_:]*");
+  std::istringstream lines(os.str());
+  std::string line;
+  std::size_t families = 0;
+  while (std::getline(lines, line)) {
+    if (!line.starts_with("# TYPE ")) continue;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    ++families;
+    EXPECT_TRUE(std::regex_match(name, valid)) << name;
+    EXPECT_EQ(name.find("_total_total"), std::string::npos) << name;
+  }
+  EXPECT_EQ(families, sw_counter_fields().size());
 }
 
 // ----------------------------------------------------------------- registry

@@ -188,19 +188,25 @@ TEST(SalBatched, IdenticalToCallbackGather) {
   }
 }
 
-TEST(SalBatched, CompatibilityShimStillWorks) {
+TEST(SalBatched, CallbackGatherRefillsReusedOutput) {
+  // Callers hand the callback gather one buffer for every read: it must
+  // clear it, not append, so each read's seeds equal a fresh gather's.
   const auto& fx = fixture();
   SmemWorkspace ws;
   std::vector<Smem> smems;
-  collect_smems(fx.index.fm32(), fx.queries.front(), SeedingOptions{}, smems,
-                ws, util::PrefetchPolicy{true});
-  const chain::SalFn sal = [&](idx_t row) { return fx.index.sa_lookup_flat(row); };
-  const auto via_shim = chain::seeds_from_smems(smems, chain::ChainOptions{}, sal);
-  std::vector<chain::Seed> direct;
-  chain::seeds_from_smems(smems, chain::ChainOptions{},
-                          [&](idx_t row) { return fx.index.sa_lookup_flat(row); },
-                          direct);
-  EXPECT_EQ(via_shim, direct);
+  const auto sal = [&](idx_t row) { return fx.index.sa_lookup_flat(row); };
+  std::vector<chain::Seed> reused;
+  std::size_t seeded_reads = 0;
+  for (const auto& q : fx.queries) {
+    collect_smems(fx.index.fm32(), q, SeedingOptions{}, smems, ws,
+                  util::PrefetchPolicy{true});
+    chain::seeds_from_smems(smems, chain::ChainOptions{}, sal, reused);
+    std::vector<chain::Seed> fresh;
+    chain::seeds_from_smems(smems, chain::ChainOptions{}, sal, fresh);
+    ASSERT_EQ(reused, fresh);
+    seeded_reads += !fresh.empty();
+  }
+  EXPECT_GT(seeded_reads, 1u);
 }
 
 TEST(SmemExecutor, PipelineSamInvariantAcrossInflight) {
